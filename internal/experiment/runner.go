@@ -14,7 +14,8 @@ import (
 // merged summary for each configuration in input order. Any construction
 // error or simulation panic aborts the whole matrix via a single panic
 // from the calling goroutine, annotated with the failing (point,
-// replica, seed): experiment specs are code, and a config they build
+// replica, seed) — of the first failing replica in matrix order when
+// several fail: experiment specs are code, and a config they build
 // that fails validation is a programming error.
 func RunMatrix(cfgs []manet.Config, o Options) []metrics.Summary {
 	merged, _ := RunMatrixSpread(cfgs, o)
@@ -63,6 +64,7 @@ func RunMatrixSpread(cfgs []manet.Config, o Options) ([]metrics.Summary, [][]flo
 
 	var mu sync.Mutex
 	var firstErr error
+	errAt := len(tasks) // index in tasks of the task firstErr came from
 	// Matrix-level progress: completed replicas, aggregate simulated
 	// event rate, and an ETA extrapolated from the mean replica time.
 	// All counters are guarded by mu; the line is written under it too so
@@ -82,17 +84,20 @@ func RunMatrixSpread(cfgs []manet.Config, o Options) ([]metrics.Summary, [][]flo
 		fmt.Fprintf(o.Progress, "experiment %d/%d replicas  %.0f events/s  ETA %s\n",
 			completed, len(tasks), rate, eta.Round(time.Second))
 	}
-	fail := func(err error) {
+	// The failure reported is the first in matrix order, whatever order
+	// the workers happened to finish in: a failure replaces a later one,
+	// and tasks ahead of a failure still run (see the drain below).
+	fail := func(i int, err error) {
 		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+		if i < errAt {
+			firstErr, errAt = err, i
 		}
 		mu.Unlock()
 	}
-	failed := func() bool {
+	failedBefore := func(i int) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return firstErr != nil
+		return errAt < i
 	}
 
 	// runTask executes one replica, converting construction errors and
@@ -120,28 +125,28 @@ func RunMatrixSpread(cfgs []manet.Config, o Options) ([]metrics.Summary, [][]flo
 		return nil
 	}
 
-	ch := make(chan task)
+	ch := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for tk := range ch {
-				// Fail fast: once any replica has failed the matrix is
-				// doomed to panic below, so drain the remaining tasks
+			for i := range ch {
+				// Fail fast: once a replica has failed the matrix is
+				// doomed to panic below, so drain the tasks after it
 				// instead of burning minutes of simulation on results
 				// that will be thrown away.
-				if failed() {
+				if failedBefore(i) {
 					continue
 				}
-				if err := runTask(tk); err != nil {
-					fail(err)
+				if err := runTask(tasks[i]); err != nil {
+					fail(i, err)
 				}
 			}
 		}()
 	}
-	for _, tk := range tasks {
-		ch <- tk
+	for i := range tasks {
+		ch <- i
 	}
 	close(ch)
 	wg.Wait()

@@ -189,8 +189,90 @@ func (g *Grid) Within(p Point, r float64, buf []int) []int {
 	}
 	// Cells were visited row-major, so the concatenation is not globally
 	// ascending; restore the linear-scan order the callers rely on.
-	slices.Sort(buf[from:])
+	if len(buf)-from <= sortCutover {
+		slices.Sort(buf[from:])
+		return buf
+	}
+	return mergeRuns(buf, from)
+}
+
+// sortCutover is the result size up to which Within sorts outright:
+// short results, the common case on sparse maps, sort cheaply, and
+// finding and merging runs does not pay for itself there.
+const sortCutover = 32
+
+// maxRuns bounds the ascending runs mergeRuns merges; a result split
+// into more runs (a query radius spanning many cells) is sorted instead.
+const maxRuns = 31
+
+// mergeRuns puts buf[from:] into ascending order by merging its natural
+// ascending runs. Every non-empty cell Within visits contributes one
+// run (a cell's index list is ascending, and neighboring cells of a row
+// may even continue it), so the result is a handful of runs merged
+// pairwise in log2(runs) passes. The merge ping-pongs through the spare
+// capacity of buf, grown once if short: Within runs concurrently on one
+// Grid (band-parallel walks), so the scratch must belong to the caller,
+// whose buffer is reused from query to query.
+func mergeRuns(buf []int, from int) []int {
+	res := buf[from:]
+	m := len(res)
+	var bounds [maxRuns + 1]int
+	runs := 1
+	prev := res[0]
+	for i, v := range res[1:] {
+		if v < prev {
+			if runs == maxRuns {
+				slices.Sort(res)
+				return buf
+			}
+			bounds[runs] = i + 1
+			runs++
+		}
+		prev = v
+	}
+	if runs == 1 {
+		return buf
+	}
+	bounds[runs] = m
+	end := len(buf)
+	buf = slices.Grow(buf, m)
+	src, dst := buf[from:end], buf[end:end+m]
+	for runs > 1 {
+		merged := 0
+		for r := 0; r < runs; r += 2 {
+			lo := bounds[r]
+			if r+1 == runs {
+				copy(dst[lo:], src[lo:])
+			} else {
+				mid, hi := bounds[r+1], bounds[r+2]
+				mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+			}
+			bounds[merged] = lo
+			merged++
+		}
+		bounds[merged] = m
+		runs = merged
+		src, dst = dst, src
+	}
+	if &src[0] != &buf[from] {
+		copy(buf[from:end], src)
+	}
 	return buf
+}
+
+// mergeInto merges the ascending slices a and b into dst, which has
+// room for exactly both.
+func mergeInto(dst, a, b []int) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && a[i] < b[j]) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
 }
 
 // Neighbors is Within(pts[i], r) excluding i itself: the unit-disk

@@ -184,3 +184,32 @@ func TestGridCellRangeCovers(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGridWithin times one radius query per indexed point on the
+// worlds the simulator runs: the paper's 100 hosts on maps 1, 5 and 11,
+// one dense 200-host cluster, and the sparse 100k-host mega map.
+func BenchmarkGridWithin(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		side float64
+	}{
+		{"map1", 100, 500},
+		{"map5", 100, 2500},
+		{"map11", 100, 5500},
+		{"cluster200", 200, 900},
+		{"mega100k", 100000, 150000},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		pts := randomPoints(rng, tc.n, tc.side, tc.side)
+		var g geom.Grid
+		g.Rebuild(pts, 500)
+		b.Run(tc.name, func(b *testing.B) {
+			var buf []int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = g.Within(pts[i%len(pts)], 500, buf[:0])
+			}
+		})
+	}
+}

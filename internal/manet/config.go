@@ -376,6 +376,13 @@ func (c Config) Validate() error {
 	if len(c.Placement) > 0 && len(c.Placement) != c.Hosts {
 		return fmt.Errorf("manet: placement has %d points for %d hosts", len(c.Placement), c.Hosts)
 	}
+	area := mobility.NewSquareMap(c.MapUnits, c.UnitMeters)
+	for i, p := range c.Placement {
+		// NaN fails every comparison, so it lands here too.
+		if !area.Contains(p) {
+			return fmt.Errorf("manet: placement point %d (%g, %g) outside the %v map", i, p.X, p.Y, area)
+		}
+	}
 	if c.Scheme.NeedsHello() && c.HelloMode == HelloOff {
 		return fmt.Errorf("manet: scheme %s requires HELLO but HelloMode is off", c.Scheme.Name())
 	}

@@ -2,6 +2,7 @@ package manet
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -355,6 +356,67 @@ func TestPartitionLimitsReachabilityDenominator(t *testing.T) {
 	}
 	if s.MeanRE < 0.99 {
 		t.Errorf("flooding within partitions should reach everyone: %v", s.MeanRE)
+	}
+}
+
+// A placement point that is not a finite point of the map must be
+// rejected at the boundary, naming its index, on every engine: a NaN or
+// infinite coordinate otherwise panics deep in the run (grid cell
+// arithmetic), and an off-map one would be silently reflected inside.
+// Points on the borders are in the map.
+func TestPlacementRejectsBadPoints(t *testing.T) {
+	const side = 5 * 500.0
+	cases := []struct {
+		name string
+		p    geom.Point
+		ok   bool
+	}{
+		{"nan-x", geom.Point{X: math.NaN(), Y: 100}, false},
+		{"nan-y", geom.Point{X: 100, Y: math.NaN()}, false},
+		{"plus-inf", geom.Point{X: math.Inf(1), Y: 100}, false},
+		{"minus-inf", geom.Point{X: 100, Y: math.Inf(-1)}, false},
+		{"left-of-map", geom.Point{X: -3000, Y: 100}, false},
+		{"above-map", geom.Point{X: 100, Y: side + 0.5}, false},
+		{"just-past-right", geom.Point{X: math.Nextafter(side, math.Inf(1)), Y: 100}, false},
+		{"far-corner", geom.Point{X: side, Y: side}, true},
+		{"origin", geom.Point{}, true},
+	}
+	engines := []struct {
+		name  string
+		apply func(*Config)
+	}{
+		{"sequential", func(c *Config) { c.Engine = EngineSequentialOracle }},
+		{"sharded", func(c *Config) { c.Engine = EngineSharded; c.Shards = 2 }},
+	}
+	for _, tc := range cases {
+		for _, eng := range engines {
+			t.Run(tc.name+"/"+eng.name, func(t *testing.T) {
+				pts := chain(20, 100)
+				pts[3] = tc.p
+				cfg := Config{
+					Scheme: scheme.Flooding{}, MapUnits: 5, Hosts: 20, Requests: 3,
+					Static: true, Placement: pts, Seed: 1,
+				}
+				eng.apply(&cfg)
+				n, err := New(cfg)
+				if !tc.ok {
+					if err == nil {
+						t.Fatalf("New accepted placement point %+v", tc.p)
+					}
+					if !strings.Contains(err.Error(), "placement point 3 ") {
+						t.Fatalf("error %q does not name point 3", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer n.Close()
+				if s := n.Run(); s.Broadcasts != 3 {
+					t.Fatalf("ran %d broadcasts, want 3", s.Broadcasts)
+				}
+			})
+		}
 	}
 }
 

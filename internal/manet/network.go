@@ -80,10 +80,8 @@ type Network struct {
 	audit      *check.Auditor
 	auditSpeed float64 // fastest possible host speed, m/s
 
-	// Scratch reused by reachableFrom and the other unit-disk queries so
-	// per-origination bookkeeping does not allocate.
-	bfsVisited []bool
-	bfsStack   []int
+	// Scratch reused by the unit-disk neighbor queries so per-origination
+	// bookkeeping does not allocate.
 	nbrScratch []int
 
 	// Object pools (single-threaded, so plain slices): scratch bitsets
@@ -913,42 +911,13 @@ func (n *Network) originate(src *host) {
 }
 
 // reachableFrom computes e: the number of hosts (including src) in src's
-// connected component of the current unit-disk graph. The walk expands
-// through the channel's spatial index, so each visited host costs its
-// degree rather than a scan of the whole population, and the visited /
-// stack / neighbor buffers are reused across originations.
+// connected component of the current unit-disk graph. The channel owns
+// the one walk every engine uses: band-parallel over the sharded
+// engine's pool, memoized per component on static worlds, and a
+// linear-scan BFS under DisableSpatialIndex. Hosts are attached in host
+// order, so radio and host indices coincide.
 func (n *Network) reachableFrom(src *host) int {
-	if n.engine == EngineSharded || n.engine == EngineSpeculative {
-		// The channel walk forces an exact position snapshot at the
-		// current instant and runs band-parallel over the worker pool with
-		// bounded-channel border exchange; membership is identical to the
-		// live-position BFS below, so summaries stay byte-identical.
-		return n.ch.CountReachable(src.mac.Radio())
-	}
-	if len(n.bfsVisited) < n.ch.NumRadios() {
-		n.bfsVisited = make([]bool, n.ch.NumRadios())
-	}
-	visited := n.bfsVisited
-	clear(visited)
-	stack := n.bfsStack[:0]
-	start := src.mac.Radio()
-	visited[start] = true
-	stack = append(stack, start)
-	count := 0
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		n.nbrScratch = n.ch.Neighbors(i, n.nbrScratch[:0])
-		for _, j := range n.nbrScratch {
-			if !visited[j] {
-				visited[j] = true
-				stack = append(stack, j)
-			}
-		}
-	}
-	n.bfsStack = stack
-	return count
+	return n.ch.CountReachable(src.mac.Radio())
 }
 
 // record fetches the bookkeeping entry for a broadcast; unknown ids and

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scheme"
@@ -114,6 +115,101 @@ func TestResumeEquivalenceMatrix(t *testing.T) {
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// bandedClusterPlacement is a small static banded-cluster world on a
+// 16-unit map cut into 4 bands: eight clusters of 25 hosts, two per
+// band, each placed so its hosts' interaction disks stay inside the
+// band.
+func bandedClusterPlacement() []geom.Point {
+	const (
+		side    = 16 * 500.0
+		perBand = side / 4
+		spread  = 200.0
+		guard   = spread + 510.0
+	)
+	rng := sim.NewRNG(17)
+	pts := make([]geom.Point, 0, 8*25)
+	for c := 0; c < 8; c++ {
+		cy := float64(c%4)*perBand + guard + rng.Float64()*(perBand-2*guard)
+		cx := spread + rng.Float64()*(side-2*spread)
+		for i := 0; i < 25; i++ {
+			pts = append(pts, geom.Point{
+				X: cx + (rng.Float64()*2-1)*spread,
+				Y: cy + (rng.Float64()*2-1)*spread,
+			})
+		}
+	}
+	return pts
+}
+
+// TestResumeEquivalenceStaticCluster is the static row of the resume
+// matrix. On a static world the channel answers reachability from its
+// component memo, which is derived state and never checkpointed: a
+// restored network rebuilds it from the snapshot, and so does every
+// speculative rollback (which restores a micro-checkpoint). The
+// banded-cluster world is the one speculation commits on; the sparse
+// world is the one it rolls back on (TestSpeculativeForcedRollback).
+// On both, every engine must match the sequential oracle and every
+// resume must reproduce the straight run byte for byte.
+func TestResumeEquivalenceStaticCluster(t *testing.T) {
+	pts := bandedClusterPlacement()
+	worlds := []struct {
+		name string
+		cfg  Config
+	}{
+		{"banded-cluster", Config{
+			Scheme: scheme.Flooding{}, MapUnits: 16, Hosts: len(pts), Placement: pts,
+			Static: true, Requests: 12, Seed: 4,
+		}},
+		{"sparse", speculativeCases[0].cfg},
+	}
+	engines := []struct {
+		name  string
+		apply func(*Config)
+	}{
+		{"sequential", func(*Config) {}},
+		{"sharded4", func(c *Config) { c.Engine = EngineSharded; c.Shards = 4 }},
+		{"speculative4", func(c *Config) { c.Engine = EngineSpeculative; c.Shards = 4 }},
+	}
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			var oracle metrics.Summary
+			for i, eng := range engines {
+				cfg := w.cfg
+				cfg.Seed = 1
+				eng.apply(&cfg)
+				bufs, want := captureCheckpoints(t, cfg)
+				if i == 0 {
+					oracle = want
+				} else if want != oracle {
+					t.Fatalf("%s diverges from the sequential engine:\n%+v\n%+v", eng.name, want, oracle)
+				}
+				for frac, buf := range bufs {
+					restored, err := RestoreNetwork(bytes.NewReader(buf), cfg)
+					if err != nil {
+						t.Fatalf("%s checkpoint %d: %v", eng.name, frac, err)
+					}
+					if got := restored.Run(); got != want {
+						t.Fatalf("%s checkpoint at ~%d%%: resumed summary diverges:\nresumed:  %+v\nstraight: %+v",
+							eng.name, 25*(frac+1), got, want)
+					}
+				}
+				if cfg.Engine != EngineSpeculative {
+					continue
+				}
+				net, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.Run()
+				st := net.ParallelStats()
+				if st.Committed == 0 || (w.name == "sparse" && st.RolledBack == 0) {
+					t.Fatalf("speculative run committed %d and rolled back %d windows", st.Committed, st.RolledBack)
+				}
 			}
 		})
 	}

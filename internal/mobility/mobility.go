@@ -165,7 +165,8 @@ func (r *Roamer) Start() {
 }
 
 // NewStaticRoamer places a host at a fixed point with no movement. It is
-// used by tests and by density-only experiments.
+// used by tests and by density-only experiments. The point must lie in
+// the map (borders included).
 func NewStaticRoamer(sched *sim.Scheduler, area Map, at geom.Point) *Roamer {
 	r := &Roamer{}
 	InitStaticRoamer(r, sched, area, at)
@@ -256,7 +257,10 @@ func (r *Roamer) Position() geom.Point {
 // sub-millisecond lookbacks the PHY performs. When the latest turn fired
 // ahead of the shared clock (parallel drain) the query resolves on the
 // pre-turn segment, reproducing the oracle's answer — including its
-// backward extrapolation — until the clock catches up to the turn.
+// backward extrapolation — until the clock catches up to the turn. A
+// segment at rest answers its origin without folding: origins lie in
+// the map (placement is validated, and a stop or turn starts from a
+// folded position), where folding is the identity.
 func (r *Roamer) PositionAt(t sim.Time) geom.Point {
 	if r.hasPrev && r.sched.Now() < r.turnAt {
 		dt := t.Sub(r.prevStart).Seconds()
@@ -264,6 +268,9 @@ func (r *Roamer) PositionAt(t sim.Time) geom.Point {
 			X: geom.FoldIntoRange(r.prevOrigin.X+r.prevVx*dt, r.area.Width),
 			Y: geom.FoldIntoRange(r.prevOrigin.Y+r.prevVy*dt, r.area.Height),
 		}
+	}
+	if r.vx == 0 && r.vy == 0 {
+		return r.origin
 	}
 	return r.rawPositionAt(t)
 }

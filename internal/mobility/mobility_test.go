@@ -95,6 +95,54 @@ func TestStaticRoamer(t *testing.T) {
 	}
 }
 
+// A roamer at rest answers PositionAt from its origin without folding.
+// That shortcut must return exactly what folding returns, at any query
+// time (before the segment start too), for in-map points on the
+// borders as well as inside, and for a roamer frozen by Stop.
+func TestStaticPositionAtExact(t *testing.T) {
+	sched := sim.NewScheduler()
+	area := NewSquareMap(2, 500)
+	times := []sim.Time{0, 1, sim.Time(sim.Second), sim.Time(999 * sim.Second), -sim.Time(sim.Second)}
+	for _, at := range []geom.Point{{X: 0, Y: 0}, {X: 1000, Y: 1000}, {X: 0, Y: 1000}, {X: 333.25, Y: 999.999}} {
+		r := NewStaticRoamer(sched, area, at)
+		for _, tm := range times {
+			if got := r.PositionAt(tm); got != at || got != r.rawPositionAt(tm) {
+				t.Fatalf("static roamer at %+v: PositionAt(%v) = %+v, folded %+v", at, tm, got, r.rawPositionAt(tm))
+			}
+		}
+	}
+
+	r := NewRoamer(sched, area, DefaultConfig(80), sim.NewRNG(3))
+	sched.RunUntil(sim.Time(50 * sim.Second))
+	r.Stop()
+	frozen := r.Position()
+	sched.RunUntil(sim.Time(400 * sim.Second))
+	for _, tm := range append(times, sched.Now()) {
+		if got := r.PositionAt(tm); got != frozen || got != r.rawPositionAt(tm) {
+			t.Fatalf("stopped roamer: PositionAt(%v) = %+v, frozen at %+v, folded %+v", tm, got, frozen, r.rawPositionAt(tm))
+		}
+	}
+}
+
+// A roamer whose last turn fired ahead of the shared clock (a parallel
+// drain) resolves queries on its previous segment until the clock
+// catches up, even when the new segment is at rest.
+func TestRestingRoamerResolvesPreviousSegment(t *testing.T) {
+	sched := sim.NewScheduler()
+	area := NewSquareMap(2, 500)
+	r := NewStaticRoamer(sched, area, geom.Point{X: 500, Y: 500})
+	r.prevStart, r.prevOrigin = 0, geom.Point{X: 100, Y: 100}
+	r.prevVx, r.prevVy = 10, 0
+	r.turnAt, r.hasPrev = sim.Time(5*sim.Second), true
+	if got, want := r.PositionAt(sim.Time(2*sim.Second)), (geom.Point{X: 120, Y: 100}); got != want {
+		t.Fatalf("before the clock reaches the turn: PositionAt = %+v, want the previous segment's %+v", got, want)
+	}
+	sched.RunUntil(sim.Time(5 * sim.Second))
+	if got, want := r.PositionAt(sim.Time(6*sim.Second)), (geom.Point{X: 500, Y: 500}); got != want {
+		t.Fatalf("after the turn: PositionAt = %+v, want the resting origin %+v", got, want)
+	}
+}
+
 func TestRoamerStop(t *testing.T) {
 	sched := sim.NewScheduler()
 	area := NewSquareMap(3, 500)

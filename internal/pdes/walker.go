@@ -77,7 +77,7 @@ func (w *Walker) Count(grid *geom.Grid, rev uint64, snap []geom.Point, src int, 
 		bands = min(w.pool.Workers(), rows)
 	}
 	if bands <= 1 {
-		return w.countSequential(n, src, neigh)
+		return w.CountSequential(n, src, neigh)
 	}
 	w.prepare(n, bands)
 
@@ -215,8 +215,10 @@ func (w *Walker) prepare(n, bands int) {
 	}
 }
 
-// countSequential is the single-threaded fallback (and oracle) walk.
-func (w *Walker) countSequential(n, src int, neigh NeighborFunc) int {
+// CountSequential is the single-threaded walk over nodes 0..n-1: Count's
+// fallback without a pool or grid, and the oracle its band-parallel
+// walk is held to.
+func (w *Walker) CountSequential(n, src int, neigh NeighborFunc) int {
 	if cap(w.visited) < n {
 		w.visited = make([]bool, n)
 		w.bandOf = make([]uint8, n)

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -92,4 +93,92 @@ func TestSetMaxSpeedRejectsNegative(t *testing.T) {
 		}
 	}()
 	ch.SetMaxSpeed(-1)
+}
+
+// componentSizes is the reference: for every radio, the size of its
+// component, found by breadth-first walks over linear-scan adjacency at
+// the current instant.
+func componentSizes(ch *Channel, now sim.Time) []int {
+	sizes := make([]int, ch.NumRadios())
+	for src := range sizes {
+		if sizes[src] != 0 {
+			continue
+		}
+		comp := []int{src}
+		sizes[src] = -1
+		for k := 0; k < len(comp); k++ {
+			for _, v := range linearNeighbors(ch, comp[k], now) {
+				if sizes[v] == 0 {
+					sizes[v] = -1
+					comp = append(comp, v)
+				}
+			}
+		}
+		for _, v := range comp {
+			sizes[v] = len(comp)
+		}
+	}
+	return sizes
+}
+
+// On a static channel CountReachable answers from a per-snapshot
+// component memo. Every source's memoized size must equal a brute-force
+// BFS, later instants must reuse the memo (the snapshot stays exact and
+// is never rebuilt), each component must be walked once, and attaching
+// radios (a new snapshot generation) must discard the memo — here the
+// new radio bridges two components, so a stale memo would show.
+func TestStaticComponentMemoMatchesBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		n    int
+		side float64
+	}{{1, 100}, {40, 4000}, {150, 6000}, {300, 3000}} {
+		sched := sim.NewScheduler()
+		ch := NewChannel(sched, DSSSTiming(), 500)
+		ch.SetMaxSpeed(0)
+		for i := 0; i < tc.n; i++ {
+			ch.Attach(static(geom.Point{X: rng.Float64() * tc.side, Y: rng.Float64() * tc.side}), &fakeListener{})
+		}
+		for _, at := range []sim.Time{0, sim.Time(3 * sim.Second), sim.Time(70 * sim.Second)} {
+			sched.Schedule(at, func() {})
+			sched.RunUntil(at)
+			want := componentSizes(ch, at)
+			for _, src := range rng.Perm(tc.n) {
+				if got := ch.CountReachable(src); got != want[src] {
+					t.Fatalf("n=%d t=%v src %d: memo %d, BFS %d", tc.n, at, src, got, want[src])
+				}
+			}
+			if ch.gridGen != 1 {
+				t.Fatalf("n=%d: static snapshot rebuilt (generation %d)", tc.n, ch.gridGen)
+			}
+		}
+		labels := map[int32]bool{}
+		for _, l := range ch.comp {
+			labels[l] = true
+		}
+		if len(labels) != len(ch.compSize) {
+			t.Fatalf("n=%d: %d components labeled by %d walks", tc.n, len(labels), len(ch.compSize))
+		}
+	}
+
+	// Two radios out of range of each other, then a third between them.
+	sched := sim.NewScheduler()
+	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
+	ch.Attach(static(geom.Point{X: 0}), &fakeListener{})
+	ch.Attach(static(geom.Point{X: 800}), &fakeListener{})
+	if got := ch.CountReachable(0); got != 1 {
+		t.Fatalf("isolated radio reaches %d, want 1", got)
+	}
+	gen := ch.gridGen
+	i := ch.AttachBatch(1)
+	ch.SetRadio(i, static(geom.Point{X: 400}), &fakeListener{})
+	for src := 0; src < 3; src++ {
+		if got := ch.CountReachable(src); got != 3 {
+			t.Fatalf("after bridging, radio %d reaches %d, want 3", src, got)
+		}
+	}
+	if ch.gridGen == gen {
+		t.Fatal("attaching a radio did not start a new snapshot generation")
+	}
 }

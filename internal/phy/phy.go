@@ -9,6 +9,7 @@ package phy
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/nodeset"
@@ -262,7 +263,8 @@ type Channel struct {
 	// speed bound (SetMaxSpeed) it additionally serves later instants as
 	// a candidate prefilter, with the query radius inflated by the
 	// maximum distance any radio can have drifted since the snapshot
-	// and every candidate re-checked against its live position.
+	// and every candidate re-checked against its live position. A bound
+	// of zero makes the snapshot exact at every instant (see static).
 	grid       geom.Grid
 	snapTime   sim.Time
 	gridOK     bool
@@ -321,6 +323,17 @@ type Channel struct {
 	// so results are identical with or without the pool.
 	pool   *pdes.Pool
 	walker *pdes.Walker
+
+	// Connected-component memo of a static channel (componentSize):
+	// comp[i] is 1 + the label of radio i's component in the snapshot's
+	// unit-disk graph, 0 until a walk reaches i, and compSize[l] is the
+	// size of component l. Derived from the snapshot alone, so it is
+	// valid while compGen == gridGen and never checkpointed.
+	comp      []int32
+	compSize  []int32
+	compGen   uint64
+	compStack []int32
+	compNbr   []int
 
 	// Channel-load accounting for the telemetry subsystem, gated on
 	// obsBusy so uninstrumented runs pay a single branch per carrier
@@ -473,11 +486,21 @@ func (c *Channel) Neighbors(i int, buf []int) []int {
 	}
 	c.refresh()
 	now := c.sched.Now()
-	if now == c.snapTime {
+	if c.exactAt(now) {
 		return c.grid.Neighbors(i, c.radius, buf)
 	}
 	return c.staleNeighbors(i, c.positions[i].PositionAt(now), now, buf)
 }
+
+// static reports whether the radios are declared never to move (a speed
+// bound of zero). The snapshot is then exact at every instant, not only
+// at the one it was taken at: no radio can have drifted from it.
+func (c *Channel) static() bool { return c.hasBound && c.speedBound == 0 }
+
+// exactAt reports whether the snapshot holds every radio's exact
+// position at now, so queries may answer from it directly instead of
+// re-checking live positions. Callers must have refreshed the snapshot.
+func (c *Channel) exactAt(now sim.Time) bool { return now == c.snapTime || c.static() }
 
 // refresh ensures the spatial index is usable at the current clock
 // value: fresh enough that the drift margin stays within budget, and
@@ -487,7 +510,7 @@ func (c *Channel) Neighbors(i int, buf []int) []int {
 func (c *Channel) refresh() {
 	now := c.sched.Now()
 	if c.gridOK && len(c.snap) == len(c.positions) {
-		if now == c.snapTime {
+		if c.exactAt(now) {
 			return
 		}
 		if c.hasBound && c.driftMargin(now) <= c.radius*maxStaleFraction {
@@ -538,13 +561,22 @@ func (c *Channel) rebuildSnapshot(now sim.Time) {
 // the live unit-disk graph at the current instant, so the count is
 // identical to a sequential BFS over Neighbors queries — band
 // decomposition changes visit order, never membership — and no forced
-// snapshot rebuild is needed.
+// snapshot rebuild is needed. A static channel answers from its
+// component memo instead (componentSize), and with DisableIndex the
+// walk runs sequentially over linear-scan Neighbors queries, the
+// oracle the indexed paths are held to.
 func (c *Channel) CountReachable(src int) int {
-	c.refresh()
-	now := c.sched.Now()
 	if c.walker == nil {
 		c.walker = pdes.NewWalker(c.pool)
 	}
+	if c.DisableIndex {
+		return c.walker.CountSequential(len(c.positions), src, c.Neighbors)
+	}
+	c.refresh()
+	if c.static() {
+		return c.componentSize(src)
+	}
+	now := c.sched.Now()
 	if now == c.snapTime {
 		return c.walker.Count(&c.grid, c.gridGen, c.snap, src, func(u int, buf []int) []int {
 			return c.grid.Neighbors(u, c.radius, buf)
@@ -557,6 +589,47 @@ func (c *Channel) CountReachable(src int) int {
 	return c.walker.Count(&c.grid, c.gridGen, c.snap, src, func(u int, buf []int) []int {
 		return c.staleNeighbors(u, c.positions[u].PositionAt(now), now, buf)
 	})
+}
+
+// componentSize answers CountReachable on a static channel. The unit-disk
+// graph there is the snapshot's for as long as the snapshot stands, so
+// the first query from an unlabeled radio walks its component once and
+// labels every member; later queries from any member cost O(1). A walk
+// per component is the most this ever costs, however many broadcasts
+// the run makes. The memo is keyed by gridGen: a rebuild (radios
+// attached since) discards it.
+func (c *Channel) componentSize(src int) int {
+	n := len(c.snap)
+	if c.compGen != c.gridGen || len(c.comp) != n {
+		c.comp = slices.Grow(c.comp[:0], n)[:n]
+		clear(c.comp)
+		c.compSize = c.compSize[:0]
+		c.compGen = c.gridGen
+	}
+	if l := c.comp[src]; l > 0 {
+		return int(c.compSize[l-1])
+	}
+	label := int32(len(c.compSize) + 1)
+	c.comp[src] = label
+	size := 1
+	stack := append(c.compStack[:0], int32(src))
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		// u itself is in its own disk but already labeled, so Within
+		// serves as the neighbor query.
+		c.compNbr = c.grid.Within(c.snap[u], c.radius, c.compNbr[:0])
+		for _, v := range c.compNbr {
+			if c.comp[v] == 0 {
+				c.comp[v] = label
+				size++
+				stack = append(stack, int32(v))
+			}
+		}
+	}
+	c.compStack = stack
+	c.compSize = append(c.compSize, int32(size))
+	return size
 }
 
 // driftMargin returns how far any radio can have moved since the
@@ -620,7 +693,7 @@ func (c *Channel) Transmit(radio int, f *packet.Frame, onDone TxEnder) sim.Durat
 		}
 	} else {
 		c.refresh()
-		if now == c.snapTime {
+		if c.exactAt(now) {
 			tx.senderPos = c.snap[radio]
 			tx.receivers = c.grid.Neighbors(radio, c.radius, tx.receivers)
 		} else {
@@ -827,7 +900,14 @@ func (c *Channel) TransmitLane(radio int, f *packet.Frame, onDone TxEnder, lane 
 	ln := &c.specLanes[lane]
 	now := c.sched.LaneNow(lane)
 	air := c.timing.Airtime(f.Bytes)
-	senderPos := c.positions[radio].PositionAt(now)
+	// BeginSpecWindow refreshed the snapshot; lanes only read it.
+	exact := c.exactAt(now)
+	var senderPos geom.Point
+	if exact {
+		senderPos = c.snap[radio]
+	} else {
+		senderPos = c.positions[radio].PositionAt(now)
+	}
 	guard := c.radius + driftEpsilon
 	if c.specBandOf(senderPos.Y-guard) != lane || c.specBandOf(senderPos.Y+guard) != lane {
 		c.sched.FlagLaneConflict(lane)
@@ -841,7 +921,11 @@ func (c *Channel) TransmitLane(radio int, f *packet.Frame, onDone TxEnder, lane 
 	ln.stats.Transmissions++
 	c.transmitting[radio] = true
 	tx.senderPos = senderPos
-	tx.receivers = c.staleNeighbors(radio, senderPos, now, tx.receivers)
+	if exact {
+		tx.receivers = c.grid.Neighbors(radio, c.radius, tx.receivers)
+	} else {
+		tx.receivers = c.staleNeighbors(radio, senderPos, now, tx.receivers)
+	}
 	for _, i := range tx.receivers {
 		tx.recvSet.Add(packet.NodeID(i))
 	}
@@ -1014,7 +1098,7 @@ func (c *Channel) resolveAgainst(tx, other *transmission, now sim.Time) {
 // instant — the same rule Transmit applies for receiver discovery —
 // instead of re-evaluating the mover function per overlapping pair.
 func (c *Channel) rxPosAt(i int, now sim.Time) geom.Point {
-	if !c.DisableIndex && c.gridOK && now == c.snapTime && i < len(c.snap) {
+	if !c.DisableIndex && c.gridOK && c.exactAt(now) && i < len(c.snap) {
 		return c.snap[i]
 	}
 	return c.positions[i].PositionAt(now)
